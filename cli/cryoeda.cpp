@@ -2,8 +2,8 @@
 //
 // One binary that wires the whole stack (library characterization,
 // matcher, pass pipeline, STA signoff, reporting) the way the bench
-// main()s and examples/synthesis_cli used to wire it by hand, and
-// exposes the scriptable pass pipeline directly:
+// main()s used to wire it by hand, and exposes the scriptable pass
+// pipeline directly:
 //
 //   cryoeda input.aig --script "c2rs; dch; if -K 6 -p pad; mfs; strash; map -p pad"
 //   cryoeda --bench dec4 --temp 10 --priority pda --out dec4.v --report run.json
@@ -25,6 +25,7 @@
 #include "cells/characterize.hpp"
 #include "core/corner_matrix.hpp"
 #include "core/experiment.hpp"
+#include "core/job.hpp"
 #include "core/pipeline.hpp"
 #include "core/search.hpp"
 #include "device/preset.hpp"
@@ -133,6 +134,12 @@ constexpr const char* kUsage =
 [[noreturn]] void usage_error(const std::string& message) {
   std::fprintf(stderr, "cryoeda: %s\n\n%s", message.c_str(), kUsage);
   std::exit(2);
+}
+
+/// Report a failure that ends a subcommand; returns its exit code.
+int fail(const std::exception& e) {
+  std::fprintf(stderr, "cryoeda: %s\n", e.what());
+  return error_exit_code(core::classify(e));
 }
 
 struct Args {
@@ -388,12 +395,8 @@ int run_serve(int argc, char** argv) {
       return server.serve_unix(socket_path);
     }
     return server.serve(std::cin, std::cout);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "cryoeda: %s\n", e.what());
-    return error_exit_code(e.kind());
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "cryoeda: %s\n", e.what());
-    return 1;
+    return fail(e);
   }
 }
 
@@ -443,12 +446,8 @@ int run_cec(int argc, char** argv) {
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "cryoeda: %s\n", e.what());
     return 2;
-  } catch (const Error& e) {
-    std::fprintf(stderr, "cryoeda: %s\n", e.what());
-    return error_exit_code(e.kind());
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "cryoeda: %s\n", e.what());
-    return 1;
+    return fail(e);
   }
 }
 
@@ -545,12 +544,8 @@ int run_matrix_cmd(int argc, char** argv) {
                 result.backend_identity.c_str());
     std::printf("matrix report written to %s\n", report_path.c_str());
     return result.all_ok() ? 0 : 1;
-  } catch (const Error& e) {
-    std::fprintf(stderr, "cryoeda: %s\n", e.what());
-    return error_exit_code(e.kind());
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "cryoeda: %s\n", e.what());
-    return 1;
+    return fail(e);
   }
 }
 
@@ -611,31 +606,22 @@ int main(int argc, char** argv) {
       }
     }
 
-    std::string lib_path = args.lib_path;
-    if (lib_path.empty()) {
-      // Shared with the `cryoeda serve` daemon and `cryoeda matrix`, so
-      // all three resolve a (preset, engine, corner) to the same
-      // characterized-library bytes.
-      lib_path = cells::default_lib_path(
-          "cryoeda_out", *preset, spice::resolve_backend(args.backend).name(),
-          args.temperature, args.vdd);
-    }
+    // The corner loader is shared with `cryoeda serve` and `cryoeda
+    // matrix`, so all three resolve a (preset, engine, corner) to the
+    // same characterized-library bytes.
+    core::CornerSpec corner_spec;
+    corner_spec.preset = *preset;
+    corner_spec.backend = args.backend;
+    corner_spec.temperature_k = args.temperature;
+    corner_spec.vdd = args.vdd;
+    corner_spec.lib_path = args.lib_path;
     if (!args.quiet) {
-      std::printf("library: %s @ %g K, %g V\n", lib_path.c_str(),
+      std::printf("library: %s @ %g K, %g V\n",
+                  core::corner_lib_path(corner_spec).c_str(),
                   args.temperature, args.vdd);
     }
-    const auto lib_dir = std::filesystem::path{lib_path}.parent_path();
-    if (!lib_dir.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(lib_dir, ec);
-    }
-    cells::CharOptions char_options;
-    char_options.vdd = args.vdd;
-    char_options.preset = *preset;
-    char_options.backend = args.backend;
-    const auto library = cells::load_or_characterize(
-        lib_path, cells::standard_catalog(), args.temperature, char_options);
-    const map::CellMatcher matcher{library};
+    const auto corner = core::load_corner(corner_spec);
+    const map::CellMatcher& matcher = corner->matcher;
 
     // The deterministic per-job report goes through the same
     // `core::run_scenario` entry point the daemon uses, so the two are
@@ -770,14 +756,7 @@ int main(int argc, char** argv) {
       std::printf("  run report written to %s\n", args.report_path.c_str());
     }
     return 0;
-  } catch (const core::RecipeError& e) {
-    std::fprintf(stderr, "cryoeda: %s\n", e.what());
-    return 2;
-  } catch (const Error& e) {
-    std::fprintf(stderr, "cryoeda: %s\n", e.what());
-    return error_exit_code(e.kind());
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "cryoeda: %s\n", e.what());
-    return 1;
+    return fail(e);
   }
 }

@@ -4,11 +4,9 @@
 #include <filesystem>
 #include <utility>
 
-#include "cells/characterize.hpp"
-#include "map/matcher.hpp"
+#include "core/job.hpp"
 #include "spice/backend.hpp"
 #include "util/budget.hpp"
-#include "util/error.hpp"
 #include "util/faultinject.hpp"
 #include "util/obs.hpp"
 #include "util/thread_pool.hpp"
@@ -161,8 +159,6 @@ MatrixResult run_matrix(const MatrixOptions& options) {
   const spice::Backend& backend = spice::resolve_backend(options.backend);
   const std::vector<MatrixCorner> corners = enumerate_corners(options.axes);
   const std::vector<epfl::Benchmark> suite = resolve_benches(options.benches);
-  const std::vector<cells::CellSpec> catalog =
-      options.catalog.empty() ? cells::standard_catalog() : options.catalog;
   if (!options.lib_dir.empty()) {
     std::filesystem::create_directories(options.lib_dir);
   }
@@ -175,71 +171,51 @@ MatrixResult run_matrix(const MatrixOptions& options) {
     // (inside a corner it surfaces as that corner's kBudget fault).
     util::Budget::global().check_cancelled("core.matrix");
     const obs::ScopedSpan span{"core.matrix:" + corner.label()};
+    // Per-corner deadline: bounds this corner's characterization alone,
+    // so a pathological corner cannot starve the rest of the grid.
+    util::Budget corner_budget;
+    CornerSpec spec;
+    spec.preset = corner.preset;
+    spec.backend = options.backend;
+    spec.temperature_k = corner.temperature_k;
+    spec.vdd = corner.vdd;
+    spec.lib_dir = options.lib_dir;
+    spec.catalog = options.catalog.empty() ? nullptr : &options.catalog;
+    spec.char_options = options.char_options;
+    spec.char_options.verbose = options.verbose;
+    if (options.per_corner_deadline_s > 0.0) {
+      corner_budget.set_deadline_in(options.per_corner_deadline_s);
+      spec.budget = &corner_budget;
+    }
     MatrixCornerResult entry;
     entry.corner = corner;
-    entry.lib_path =
-        cells::default_lib_path(options.lib_dir, corner.preset,
-                                backend.name(), corner.temperature_k,
-                                corner.vdd);
-    try {
-      util::faultinject::maybe_fail("core.matrix", ErrorKind::kInternal);
-      // Per-corner deadline: bounds this corner's characterization
-      // alone, so a pathological corner cannot starve the rest of the
-      // grid.
-      util::Budget corner_budget;
-      cells::CharOptions copt = options.char_options;
-      copt.vdd = corner.vdd;
-      copt.preset = corner.preset;
-      copt.backend = options.backend;
-      copt.verbose = options.verbose;
-      if (options.per_corner_deadline_s > 0.0) {
-        corner_budget.set_deadline_in(options.per_corner_deadline_s);
-        copt.budget = &corner_budget;
-      }
-      const liberty::Library library = cells::load_or_characterize(
-          entry.lib_path, catalog, corner.temperature_k, copt);
-      entry.library = library.name;
-      const map::CellMatcher matcher{library};
-      entry.rows = util::parallel_map(
-          suite.size(),
-          [&](std::size_t b) {
-            MatrixRow row;
-            row.bench = suite[b].name;
-            // Row-level fault isolation, same contract as the scenario
-            // fleet: anything but budget exhaustion stays in this row.
-            try {
-              row.comparison =
-                  compare_circuit(suite[b], matcher, options.experiment);
-            } catch (const Error& e) {
-              if (e.kind() == ErrorKind::kBudget) {
-                throw;  // faults the whole corner below
-              }
-              row.ok = false;
-              row.error = e.what();
-              row.error_kind = std::string{error_kind_name(e.kind())};
-              obs::counter("matrix.row_errors").add();
-            } catch (const std::exception& e) {
-              row.ok = false;
-              row.error = e.what();
-              row.error_kind = "internal";
-              obs::counter("matrix.row_errors").add();
-            }
-            return row;
-          },
-          options.experiment.threads);
-    } catch (const Error& e) {
-      entry.ok = false;
-      entry.error = e.what();
-      entry.error_kind = std::string{error_kind_name(e.kind())};
-      entry.rows.clear();
-      obs::counter("matrix.corner_errors").add();
-    } catch (const std::exception& e) {
-      entry.ok = false;
-      entry.error = e.what();
-      entry.error_kind = "internal";
-      entry.rows.clear();
-      obs::counter("matrix.corner_errors").add();
-    }
+    entry.lib_path = corner_lib_path(spec);
+    // Two isolation levels (core/job.hpp): a corner fault, budget
+    // exhaustion included, stays in this entry; a row fault stays in its
+    // row, except budget exhaustion, which faults the corner.
+    isolate(
+        entry, "matrix.corner_errors",
+        [&] {
+          util::faultinject::maybe_fail("core.matrix", ErrorKind::kInternal);
+          const auto loaded = load_corner(spec);
+          entry.library = loaded->library.name;
+          entry.rows = util::parallel_map(
+              suite.size(),
+              [&](std::size_t b) {
+                MatrixRow row;
+                row.bench = suite[b].name;
+                isolate(
+                    row, "matrix.row_errors",
+                    [&] {
+                      row.comparison = compare_circuit(
+                          suite[b], loaded->matcher, options.experiment);
+                    },
+                    OnBudget::kRethrow);
+                return row;
+              },
+              options.experiment.threads);
+        },
+        OnBudget::kRecord);
     obs::counter("matrix.corners").add();
     result.corners.push_back(std::move(entry));
   }

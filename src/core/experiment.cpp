@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "core/job.hpp"
 #include "core/pipeline.hpp"
 #include "liberty/json_io.hpp"
 #include "util/artifact_cache.hpp"
@@ -257,34 +258,18 @@ CircuitComparison compare_circuit(const epfl::Benchmark& benchmark,
       [&](std::size_t i) {
         // Per-scenario fault isolation: a failing scenario records a
         // structured error in its row and lets its siblings complete.
-        // Budget cancellation is the one exception — it must stop the
-        // whole fleet, so it propagates.
-        try {
-          return run_scenario(benchmark.aig, matcher, options, specs[i]);
-        } catch (const Error& e) {
-          if (e.kind() == ErrorKind::kBudget) {
-            throw;
-          }
-          ScenarioResult failed;
-          failed.scenario = specs[i].name;
-          failed.recipe = specs[i].recipe;
-          failed.priority = specs[i].priority;
-          failed.ok = false;
-          failed.error = e.what();
-          failed.error_kind = std::string{error_kind_name(e.kind())};
-          obs::counter("fleet.scenario_errors").add();
-          return failed;
-        } catch (const std::exception& e) {
-          ScenarioResult failed;
-          failed.scenario = specs[i].name;
-          failed.recipe = specs[i].recipe;
-          failed.priority = specs[i].priority;
-          failed.ok = false;
-          failed.error = e.what();
-          failed.error_kind = "internal";
-          obs::counter("fleet.scenario_errors").add();
-          return failed;
-        }
+        // Budget exhaustion stops the whole fleet (core/job.hpp).
+        ScenarioResult row;
+        row.scenario = specs[i].name;
+        row.recipe = specs[i].recipe;
+        row.priority = specs[i].priority;
+        isolate(
+            row, "fleet.scenario_errors",
+            [&] {
+              row = run_scenario(benchmark.aig, matcher, options, specs[i]);
+            },
+            OnBudget::kRethrow);
+        return row;
       },
       options.threads);
   cmp.baseline = scenarios[0];

@@ -6,9 +6,9 @@
 #include <string>
 #include <utility>
 
+#include "core/job.hpp"
 #include "core/pipeline.hpp"
 #include "util/budget.hpp"
-#include "util/error.hpp"
 #include "util/obs.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -176,24 +176,14 @@ std::vector<CircuitSearchResult> search_recipes(
           budget = &variant_budget;
         }
         // Same fault isolation as the fig3 fleet: record the failure in
-        // the trial row; only global cancellation stops the sweep.
-        try {
-          trial.result = run_scenario(suite[circuit].aig, matcher,
-                                      options.experiment, spec, budget);
-        } catch (const Error& e) {
-          if (e.kind() == ErrorKind::kBudget) {
-            throw;
-          }
-          trial.result.ok = false;
-          trial.result.error = e.what();
-          trial.result.error_kind = std::string{error_kind_name(e.kind())};
-          obs::counter("search.variant_errors").add();
-        } catch (const std::exception& e) {
-          trial.result.ok = false;
-          trial.result.error = e.what();
-          trial.result.error_kind = "internal";
-          obs::counter("search.variant_errors").add();
-        }
+        // the trial row; only budget exhaustion stops the sweep.
+        isolate(
+            trial.result, "search.variant_errors",
+            [&] {
+              trial.result = run_scenario(suite[circuit].aig, matcher,
+                                          options.experiment, spec, budget);
+            },
+            OnBudget::kRethrow);
         obs::counter("search.variants_run").add();
         return trial;
       },

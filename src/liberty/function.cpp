@@ -17,7 +17,6 @@ public:
     if (inputs.size() > 6) {
       throw std::runtime_error{"function_truth_table: more than 6 inputs"};
     }
-    minterms_ = inputs.empty() ? 1u : (1u << (1u << inputs.size())) - 1u;
     // For n inputs the table has 2^n bits; mask of all used bits:
     const unsigned bits = 1u << inputs.size();
     mask_ = bits >= 64 ? ~0ull : ((1ull << bits) - 1ull);
@@ -155,7 +154,6 @@ private:
   const std::vector<std::string>& inputs_;
   std::size_t pos_ = 0;
   std::uint64_t mask_ = 0;
-  std::uint64_t minterms_ = 0;
 };
 
 }  // namespace

@@ -9,13 +9,13 @@
 #include <chrono>
 #include <cstring>
 #include <exception>
-#include <filesystem>
 #include <istream>
 #include <ostream>
 #include <streambuf>
 #include <utility>
 
 #include "core/experiment.hpp"
+#include "core/job.hpp"
 #include "device/preset.hpp"
 #include "epfl/benchmarks.hpp"
 #include "spice/backend.hpp"
@@ -309,36 +309,18 @@ logic::Aig Server::resolve_design(const JobRequest& req) {
   return design;
 }
 
-Server::CornerPtr Server::build_corner(const JobRequest& req,
-                                       util::Budget* budget) {
-  const obs::ScopedSpan span{"service.corner"};
-  obs::counter("service.corners_built").add();
-  const std::string lib_path = cells::default_lib_path(
-      options_.lib_dir, device::resolve_preset(req.preset),
-      spice::resolve_backend(req.backend).name(), req.temp, req.vdd);
-  const auto dir = std::filesystem::path{lib_path}.parent_path();
-  if (!dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-  }
-  cells::CharOptions char_options = options_.char_options;
-  char_options.vdd = req.vdd;
-  char_options.preset = device::resolve_preset(req.preset);
-  char_options.backend = req.backend;
-  char_options.budget = budget;
-  auto corner = std::make_shared<Corner>();
-  corner->library =
-      cells::load_or_characterize(lib_path, options_.catalog, req.temp,
-                                  char_options);
-  corner->matcher.emplace(corner->library);
-  return corner;
-}
-
 Server::CornerPtr Server::corner(const JobRequest& req,
                                  util::Budget* budget, bool& warm) {
-  const std::string key = cells::default_lib_path(
-      options_.lib_dir, device::resolve_preset(req.preset),
-      spice::resolve_backend(req.backend).name(), req.temp, req.vdd);
+  core::CornerSpec spec;
+  spec.preset = device::resolve_preset(req.preset);
+  spec.backend = req.backend;
+  spec.temperature_k = req.temp;
+  spec.vdd = req.vdd;
+  spec.lib_dir = options_.lib_dir;
+  spec.catalog = &options_.catalog;
+  spec.char_options = options_.char_options;
+  spec.budget = budget;
+  const std::string key = core::corner_lib_path(spec);
   // Bounded retry: a waiter that inherited another job's failure (e.g.
   // that job's budget expired mid-characterization) re-enters and may
   // become the builder itself.
@@ -362,7 +344,9 @@ Server::CornerPtr Server::corner(const JobRequest& req,
     }
     if (builder) {
       try {
-        CornerPtr corner = build_corner(req, budget);
+        const obs::ScopedSpan span{"service.corner"};
+        obs::counter("service.corners_built").add();
+        CornerPtr corner = core::load_corner(spec);
         promise.set_value(corner);
         return corner;
       } catch (...) {
@@ -414,7 +398,7 @@ util::Json Server::run_job(const JobRequest& req) {
                             req.flow.priority, recipe};
     const CacheSnapshot before = CacheSnapshot::take();
     const core::ScenarioResult result =
-        core::run_scenario(design, *corner_ptr->matcher, experiment, spec,
+        core::run_scenario(design, corner_ptr->matcher, experiment, spec,
                            &budget, &registry_);
     const CacheSnapshot after = CacheSnapshot::take();
     return ok_reply(req.id,
@@ -424,15 +408,9 @@ util::Json Server::run_job(const JobRequest& req) {
                                         .identity(),
                                     canonical, result),
                     after.delta_since(before), corner_warm);
-  } catch (const core::RecipeError& e) {
-    obs::counter("service.job_errors").add();
-    return error_reply(req.id, ErrorKind::kRecipe, e.what());
-  } catch (const Error& e) {
-    obs::counter("service.job_errors").add();
-    return error_reply(req.id, e.kind(), e.what());
   } catch (const std::exception& e) {
     obs::counter("service.job_errors").add();
-    return error_reply(req.id, ErrorKind::kInternal, e.what());
+    return error_reply(req.id, core::classify(e), e.what());
   }
 }
 
@@ -488,15 +466,9 @@ util::Json Server::load_plugin(const JobRequest& req) {
     reply["pass"] = util::Json{req.plugin_name};
     reply["expands_to"] = util::Json{canonical};
     return reply;
-  } catch (const core::RecipeError& e) {
-    obs::counter("service.job_errors").add();
-    return error_reply(req.id, ErrorKind::kRecipe, e.what());
-  } catch (const Error& e) {
-    obs::counter("service.job_errors").add();
-    return error_reply(req.id, e.kind(), e.what());
   } catch (const std::exception& e) {
     obs::counter("service.job_errors").add();
-    return error_reply(req.id, ErrorKind::kInternal, e.what());
+    return error_reply(req.id, core::classify(e), e.what());
   }
 }
 

@@ -5,15 +5,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "cells/characterize.hpp"
+#include "core/job.hpp"
 #include "core/pipeline.hpp"
-#include "liberty/library.hpp"
 #include "logic/aig.hpp"
-#include "map/matcher.hpp"
 #include "service/job_queue.hpp"
 #include "service/protocol.hpp"
 #include "util/budget.hpp"
@@ -90,13 +88,7 @@ public:
   const core::PassRegistry& registry() const { return registry_; }
 
 private:
-  /// A characterized corner: the matcher points into `library`, so the
-  /// two live (and are shared) together.
-  struct Corner {
-    liberty::Library library;
-    std::optional<map::CellMatcher> matcher;
-  };
-  using CornerPtr = std::shared_ptr<const Corner>;
+  using CornerPtr = std::shared_ptr<const core::Corner>;
 
   void dispatch(const std::string& line, std::ostream& out);
   void flush(std::vector<util::Json> replies, std::ostream& out);
@@ -112,7 +104,6 @@ private:
   /// (characterization aborts with kBudget when it expires); `warm`
   /// reports whether the corner was already resident.
   CornerPtr corner(const JobRequest& req, util::Budget* budget, bool& warm);
-  CornerPtr build_corner(const JobRequest& req, util::Budget* budget);
 
   ServeOptions options_;
   core::PassRegistry registry_;

@@ -168,6 +168,12 @@ public:
     return steady_ns() - epoch_ns_.load(std::memory_order_relaxed);
   }
 
+  static std::int64_t steady_ns() {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+  }
+
   std::uint32_t alloc_span_id() {
     return next_span_id_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -178,9 +184,15 @@ public:
     return id;
   }
 
+  /// `record` carries absolute steady-clock times. A span that started
+  /// before the last reset() belongs to no report and is dropped; the
+  /// epoch is compared under the span lock reset() also holds, so a
+  /// straddling span can never land in the new epoch's list.
   void add_span(SpanRecord record) {
     const std::lock_guard<std::mutex> lock{span_mutex_};
-    spans_.push_back(std::move(record));
+    if (record.start_ns >= epoch_ns_.load(std::memory_order_relaxed)) {
+      spans_.push_back(std::move(record));
+    }
   }
 
   void reset() {
@@ -194,13 +206,10 @@ public:
     for (auto& [name, h] : histograms_) {
       h.histogram.reset();
     }
-    {
-      const std::lock_guard<std::mutex> span_lock{span_mutex_};
-      spans_.clear();
-      next_span_id_.store(1, std::memory_order_relaxed);
-    }
-    // Atomic: ScopedSpan reads the epoch from any thread without a
-    // lock, and a reset may overlap a live span.
+    const std::lock_guard<std::mutex> span_lock{span_mutex_};
+    spans_.clear();
+    next_span_id_.store(1, std::memory_order_relaxed);
+    // Atomic: report metadata reads the epoch without the span lock.
     epoch_ns_.store(steady_ns(), std::memory_order_relaxed);
   }
 
@@ -298,9 +307,11 @@ public:
 
     if (options.include_spans) {
       std::vector<SpanRecord> spans;
+      std::int64_t epoch = 0;
       {
         const std::lock_guard<std::mutex> span_lock{span_mutex_};
         spans = spans_;
+        epoch = epoch_ns_.load(std::memory_order_relaxed);
       }
       std::sort(spans.begin(), spans.end(),
                 [](const SpanRecord& a, const SpanRecord& b) {
@@ -313,7 +324,7 @@ public:
         span["id"] = Json{s.id};
         span["parent"] = Json{s.parent};
         span["thread"] = Json{s.thread};
-        span["start_ns"] = Json{s.start_ns};
+        span["start_ns"] = Json{s.start_ns - epoch};
         span["dur_ns"] = Json{s.end_ns - s.start_ns};
         arr.push_back(std::move(span));
       }
@@ -324,12 +335,6 @@ public:
 
 private:
   Registry() : epoch_ns_{steady_ns()} {}
-
-  static std::int64_t steady_ns() {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  }
 
   /// Find-or-create with a double-checked shared/unique lock. std::map
   /// nodes are address-stable, so returned references survive later
@@ -388,7 +393,7 @@ ScopedSpan::ScopedSpan(std::string name) {
   id_ = reg.alloc_span_id();
   parent_ = t_current_span;
   t_current_span = id_;
-  start_ns_ = reg.now_ns();
+  start_ns_ = Registry::steady_ns();
 }
 
 ScopedSpan::~ScopedSpan() {
@@ -398,7 +403,7 @@ ScopedSpan::~ScopedSpan() {
   auto& reg = Registry::instance();
   t_current_span = parent_;
   reg.add_span(SpanRecord{std::move(name_), id_, parent_, reg.thread_id(),
-                          start_ns_, reg.now_ns()});
+                          start_ns_, Registry::steady_ns()});
 }
 
 // --------------------------------------------------------- free API -----

@@ -119,8 +119,10 @@ private:
   std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
-/// One finished span: [start_ns, end_ns] on the registry's monotonic
-/// clock, with the lexical parent span (same thread) and a small
+/// One finished span: [start_ns, end_ns] in absolute steady-clock
+/// nanoseconds (reports print `start_ns` relative to the last `reset()`
+/// and drop spans that began before it), with the lexical parent span
+/// (same thread) and a small
 /// sequential thread id. Spans that cross a `parallel_for` boundary get
 /// parent 0 on the worker threads — parentage is per-thread lexical
 /// scope, not task lineage.

@@ -43,6 +43,13 @@ struct ExpectedFunction {
   unsigned inputs;
 };
 
+// Print a case as its cell name. Without this gtest prints the raw bytes,
+// which include the `cell` pointer, and the test names that
+// gtest_discover_tests builds from the printed value change on every run.
+void PrintTo(const ExpectedFunction& expected, std::ostream* os) {
+  *os << expected.cell;
+}
+
 class KnownFunctions : public ::testing::TestWithParam<ExpectedFunction> {};
 
 TEST_P(KnownFunctions, TruthTableMatches) {

@@ -69,6 +69,51 @@ TEST(Function, PrecedenceAndParens) {
             function_truth_table("(A|B)&C", abc));
 }
 
+TEST(Function, FiveAndSixInputTablesMatchBruteForce) {
+  // The widest tables: 32 and 64 minterms, where a mask built with a
+  // 32-bit shift would overflow. Each case is checked bit by bit against
+  // the expression evaluated directly on the minterm's input values.
+  struct Case {
+    std::string expression;
+    std::vector<std::string> inputs;
+    bool (*eval)(const bool* v);
+  };
+  const std::vector<std::string> five{"A1", "A2", "B1", "B2", "C"};
+  const std::vector<std::string> six{"A1", "A2", "A3", "B1", "B2", "B3"};
+  const std::vector<Case> cases = {
+      {"!((A1&A2)|(B1&B2)|C)", five,
+       [](const bool* v) { return !((v[0] && v[1]) || (v[2] && v[3]) || v[4]); }},
+      {"A1^A2^B1^B2^C", five,
+       [](const bool* v) { return (v[0] ^ v[1] ^ v[2] ^ v[3] ^ v[4]) != 0; }},
+      {"1", five, [](const bool*) { return true; }},
+      {"C'", five, [](const bool* v) { return !v[4]; }},
+      {"!((A1|A2|A3)&(B1|B2|B3))", six,
+       [](const bool* v) {
+         return !((v[0] || v[1] || v[2]) && (v[3] || v[4] || v[5]));
+       }},
+      {"A1 A2 A3 B1 B2 B3", six,
+       [](const bool* v) {
+         return v[0] && v[1] && v[2] && v[3] && v[4] && v[5];
+       }},
+      {"1", six, [](const bool*) { return true; }},
+      {"!B3", six, [](const bool* v) { return !v[5]; }},
+  };
+  for (const Case& c : cases) {
+    const std::uint64_t table = function_truth_table(c.expression, c.inputs);
+    const unsigned minterms = 1u << c.inputs.size();
+    for (unsigned m = 0; m < 64; ++m) {
+      bool values[6] = {};
+      for (std::size_t j = 0; j < c.inputs.size(); ++j) {
+        values[j] = ((m >> j) & 1u) != 0;
+      }
+      const bool expected = m < minterms && c.eval(values);
+      EXPECT_EQ(((table >> m) & 1u) != 0, expected)
+          << c.expression << " over " << c.inputs.size()
+          << " inputs, minterm " << m;
+    }
+  }
+}
+
 TEST(Function, Errors) {
   EXPECT_THROW(function_truth_table("A&", {"A"}), std::runtime_error);
   EXPECT_THROW(function_truth_table("Z", {"A"}), std::runtime_error);

@@ -288,8 +288,12 @@ protected:
     return options;
   }
 
+  // One file per test: ctest runs each test as its own process, in
+  // parallel, so a shared path would let one test's write race another's.
   std::string cache_path_ =
-      ::testing::TempDir() + "/cryoeda_cache_test.lib";
+      ::testing::TempDir() + "/cryoeda_cache_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".lib";
 
   void TearDown() override { std::remove(cache_path_.c_str()); }
 };
